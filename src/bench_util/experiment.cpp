@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -21,6 +22,21 @@ DurationNs ExchangeResult::observedCommunication() const {
 }
 
 namespace {
+
+/// Fill `bytes` from `rng` one 64-bit draw per eight bytes, low byte first
+/// (platform-independent; the compiler merges the byte stores).
+void fillRandom(std::span<std::byte> bytes, Rng& rng) {
+  const auto put = [](std::byte* out, std::uint64_t word, std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) {
+      out[k] = static_cast<std::byte>(word >> (8 * k));
+    }
+  };
+  const std::size_t whole = bytes.size() / 8 * 8;
+  for (std::size_t i = 0; i < whole; i += 8) put(&bytes[i], rng.next(), 8);
+  if (whole < bytes.size()) {
+    put(&bytes[whole], rng.next(), bytes.size() - whole);
+  }
+}
 
 struct RankState {
   std::vector<gpu::MemSpan> send_bufs;
@@ -118,7 +134,7 @@ ExchangeResult runBulkExchange(const ExchangeConfig& cfg) {
     for (int i = 0; i < cfg.n_ops; ++i) {
       auto s = procs[side]->allocDevice(region);
       auto r = procs[side]->allocDevice(region);
-      for (auto& b : s.bytes) b = static_cast<std::byte>(rng.below(256));
+      fillRandom(s.bytes, rng);
       states[side].send_bufs.push_back(s);
       states[side].recv_bufs.push_back(r);
     }

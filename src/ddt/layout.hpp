@@ -101,7 +101,9 @@ class Layout {
   bool isContiguous() const { return block_count_ <= 1 && size_ == extent_; }
   /// Lowest byte offset touched (0 for empty layouts).
   std::int64_t minOffset() const { return min_offset_; }
-  /// One past the highest byte offset touched.
+  /// One past the highest byte offset touched. Every run lies in
+  /// [minOffset(), endOffset()); the pack loops bounds-check a buffer
+  /// against this interval alone.
   std::int64_t endOffset() const { return end_offset_; }
 
   /// Canonical structural signature (FNV-1a over the compressed sections).
@@ -118,16 +120,29 @@ class Layout {
 
   // ---- Run enumeration (canonical order, nothing materialized) ----
 
-  /// Visit every run as (offset, len), sorted by offset and coalesced.
+  /// Visit every group as (group, shift) in canonical order: the group's
+  /// runs start at `group.base_offset + shift`. The one head/body/tail walk;
+  /// per-group consumers (the pack loops) hoist run-length dispatch here.
   template <class F>
-  void forEachRun(F&& emit) const {
-    for (const RunGroup& g : head_) emitGroup(g, 0, emit);
+  void forEachGroup(F&& emit) const {
+    for (const RunGroup& g : head_) emit(g, std::int64_t{0});
     for (std::size_t r = 0; r < body_reps_; ++r) {
       const std::int64_t shift =
           static_cast<std::int64_t>(r) * body_stride_;
-      for (const RunGroup& g : body_) emitGroup(g, shift, emit);
+      for (const RunGroup& g : body_) emit(g, shift);
     }
-    for (const RunGroup& g : tail_) emitGroup(g, 0, emit);
+    for (const RunGroup& g : tail_) emit(g, std::int64_t{0});
+  }
+
+  /// Visit every run as (offset, len), sorted by offset and coalesced.
+  template <class F>
+  void forEachRun(F&& emit) const {
+    forEachGroup([&](const RunGroup& g, std::int64_t shift) {
+      std::int64_t off = g.base_offset + shift;
+      for (std::size_t j = 0; j < g.run_count; ++j, off += g.stride) {
+        emit(off, g.run_len);
+      }
+    });
   }
 
   /// O(1)-state cursor over the run sequence; lets two layouts be walked in
@@ -178,14 +193,6 @@ class Layout {
   }
 
  private:
-  template <class F>
-  static void emitGroup(const RunGroup& g, std::int64_t shift, F&& emit) {
-    std::int64_t off = g.base_offset + shift;
-    for (std::size_t j = 0; j < g.run_count; ++j, off += g.stride) {
-      emit(off, g.run_len);
-    }
-  }
-
   /// Compute the cached statistics from the populated sections.
   void finalize(std::size_t extent);
 

@@ -8,6 +8,7 @@
 // statistics, and byte-identical pack/unpack/copyStrided results — including
 // the ragged and non-periodic layouts that take the materializing fallback.
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -199,6 +200,34 @@ void expectEquivalent(const DatatypePtr& type, std::size_t count) {
   EXPECT_EQ(unpacked, shadow_unpacked);
 }
 
+/// copyStrided from `src_t` to `dst_t`, counts scaled so both sides carry
+/// the same bytes, against per-segment shadow pack + unpack. Both buffers
+/// are sized exactly to their layout's endOffset().
+void expectCopyStridedEquivalent(const DatatypePtr& src_t,
+                                 const DatatypePtr& dst_t,
+                                 std::uint32_t seed) {
+  SCOPED_TRACE(src_t->describe() + " -> " + dst_t->describe());
+  const std::size_t bytes = src_t->size() * dst_t->size();
+  const std::size_t src_count = bytes / src_t->size();
+  const std::size_t dst_count = bytes / dst_t->size();
+  const Layout src_l = flatten(src_t, src_count);
+  const Layout dst_l = flatten(dst_t, dst_count);
+  ASSERT_EQ(src_l.size(), dst_l.size());
+  if (src_l.minOffset() < 0 || dst_l.minOffset() < 0) return;
+
+  std::vector<std::byte> src(static_cast<std::size_t>(src_l.endOffset()));
+  fillPattern(src, seed);
+  std::vector<std::byte> dst(static_cast<std::size_t>(dst_l.endOffset()));
+  std::vector<std::byte> dst_shadow = dst;
+
+  EXPECT_EQ(copyStrided(src_l, src, dst_l, dst), src_l.size());
+
+  // Shadow: pack src per segment, unpack into dst per segment.
+  const auto packed = shadowPack(shadowFlatten(src_t, src_count), src);
+  shadowUnpack(shadowFlatten(dst_t, dst_count), packed, dst_shadow);
+  EXPECT_EQ(dst, dst_shadow);
+}
+
 // --------------------------------------------------------------- the fuzz ----
 
 TEST(LayoutFuzz, CompressedMatchesShadowOnRandomTypes) {
@@ -220,26 +249,8 @@ TEST(LayoutFuzz, CopyStridedMatchesShadow) {
     auto src_t = randomType(rng, 2);
     auto dst_t = randomType(rng, 2);
     if (src_t->size() == 0 || dst_t->size() == 0) continue;
-    // Scale counts so both sides carry the same number of bytes.
-    const std::size_t bytes = src_t->size() * dst_t->size();
-    const std::size_t src_count = bytes / src_t->size();
-    const std::size_t dst_count = bytes / dst_t->size();
-    const Layout src_l = flatten(src_t, src_count);
-    const Layout dst_l = flatten(dst_t, dst_count);
-    ASSERT_EQ(src_l.size(), dst_l.size());
-    if (src_l.minOffset() < 0 || dst_l.minOffset() < 0) continue;
-
-    std::vector<std::byte> src(static_cast<std::size_t>(src_l.endOffset()));
-    fillPattern(src, 0x5eed + static_cast<std::uint32_t>(trial));
-    std::vector<std::byte> dst(static_cast<std::size_t>(dst_l.endOffset()));
-    std::vector<std::byte> dst_shadow = dst;
-
-    EXPECT_EQ(copyStrided(src_l, src, dst_l, dst), src_l.size());
-
-    // Shadow: pack src per segment, unpack into dst per segment.
-    const auto packed = shadowPack(shadowFlatten(src_t, src_count), src);
-    shadowUnpack(shadowFlatten(dst_t, dst_count), packed, dst_shadow);
-    EXPECT_EQ(dst, dst_shadow);
+    expectCopyStridedEquivalent(src_t, dst_t,
+                                0x5eed + static_cast<std::uint32_t>(trial));
   }
 }
 
@@ -282,6 +293,62 @@ TEST(LayoutFuzz, RaggedLayoutsDegradeGracefully) {
   const std::array<std::int64_t, 4> displs{0, 2, 9, 13};
   auto t = Datatype::indexed(lens, displs, Datatype::int32());
   for (std::size_t count : {1u, 2u, 4u, 9u}) expectEquivalent(t, count);
+}
+
+/// Every run length 1..33 in one element, each as a three-run group
+/// (vector of bytes, gaps of 1..3 B): every rung of the pack loops' copy
+/// ladder — the fixed 4 B move, overlapping moves of 1..16 B, memcpy above —
+/// runs in one call, on both sides of each power-of-two boundary.
+DatatypePtr everyRunLength(bool descending) {
+  std::vector<std::size_t> lens;
+  std::vector<std::int64_t> displs;
+  std::vector<DatatypePtr> members;
+  std::int64_t at = 0;
+  for (std::size_t i = 1; i <= 33; ++i) {
+    const std::size_t len = descending ? 34 - i : i;
+    const std::size_t gap = 1 + len % 3;
+    members.push_back(Datatype::vector(3, len, static_cast<std::int64_t>(
+                                                   len + gap),
+                                       Datatype::byte()));
+    lens.push_back(1);
+    displs.push_back(at);
+    at += static_cast<std::int64_t>(members.back()->extent() + gap);
+  }
+  return Datatype::struct_(lens, displs, members);
+}
+
+/// specfem3D_cm in miniature: three float32 fields of irregular points, the
+/// fields stored back to back. Adjacent points coalesce into 8 B runs, and
+/// each field's last point coalesces with the next field's first.
+DatatypePtr specfemCmMix() {
+  const std::array<std::size_t, 5> lens{1, 1, 1, 1, 1};
+  const std::array<std::int64_t, 5> displs{0, 2, 3, 6, 9};
+  auto field = Datatype::indexed(lens, displs, Datatype::float32());
+  const auto e = static_cast<std::int64_t>(field->extent());
+  const std::array<std::size_t, 3> slens{1, 1, 1};
+  const std::array<std::int64_t, 3> sdispls{0, e, 2 * e};
+  const std::array<DatatypePtr, 3> stypes{field, field, field};
+  return Datatype::struct_(slens, sdispls, stypes);
+}
+
+TEST(LayoutFuzz, RunLengthCornersMatchShadow) {
+  const auto ascending = everyRunLength(false);
+  const auto descending = everyRunLength(true);
+  const auto cm = specfemCmMix();
+  const Layout cm_one = flatten(cm, 1);
+  ASSERT_EQ(cm_one.minBlock(), 4u);
+  ASSERT_EQ(cm_one.maxBlock(), 8u);
+  ASSERT_EQ(flatten(ascending, 1).minBlock(), 1u);
+  ASSERT_EQ(flatten(ascending, 1).maxBlock(), 33u);
+  for (const std::size_t count : {1u, 2u, 3u, 7u}) {
+    expectEquivalent(ascending, count);
+    expectEquivalent(descending, count);
+    expectEquivalent(cm, count);
+  }
+  // Lockstep splits cut runs into chunks of every length 1..33.
+  expectCopyStridedEquivalent(ascending, descending, 0xc0de);
+  expectCopyStridedEquivalent(ascending, cm, 0xc0df);
+  expectCopyStridedEquivalent(cm, descending, 0xc0e0);
 }
 
 TEST(LayoutFuzz, CompressedMemoryIsCountIndependent) {

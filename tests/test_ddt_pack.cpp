@@ -71,6 +71,35 @@ TEST(PackCpu, SegmentBeyondOriginThrows) {
   EXPECT_THROW(packCpu(layout, origin, packed), CheckFailure);
 }
 
+// Every byte mover checks its buffers against the layout's
+// [minOffset, endOffset) cover before moving a byte: a layout reaching
+// before the buffer or past its end throws and leaves the destination as
+// it was — also when earlier runs would have fit.
+TEST(PackBounds, UncoveredLayoutThrowsBeforeMovingBytes) {
+  constexpr std::size_t kBuf = 12;
+  const Layout inside({{0, 4}, {6, 4}}, kBuf);
+  const std::array<Layout, 2> uncovered{
+      Layout({{-4, 4}, {4, 4}}, kBuf),  // minOffset() < 0
+      Layout({{0, 4}, {9, 4}}, kBuf),   // endOffset() == 13 > kBuf
+  };
+  const std::vector<std::byte> src(kBuf, std::byte{0x11});
+  const std::vector<std::byte> untouched(kBuf, std::byte{0xEE});
+  for (const Layout& bad : uncovered) {
+    SCOPED_TRACE("layout [" + std::to_string(bad.minOffset()) + ", " +
+                 std::to_string(bad.endOffset()) + ")");
+    ASSERT_EQ(bad.size(), inside.size());
+    std::vector<std::byte> dst = untouched;
+    EXPECT_THROW(packCpu(bad, src, dst), CheckFailure);
+    EXPECT_EQ(dst, untouched);
+    EXPECT_THROW(unpackCpu(bad, src, dst), CheckFailure);
+    EXPECT_EQ(dst, untouched);
+    EXPECT_THROW(copyStrided(bad, src, inside, dst), CheckFailure);
+    EXPECT_EQ(dst, untouched);
+    EXPECT_THROW(copyStrided(inside, src, bad, dst), CheckFailure);
+    EXPECT_EQ(dst, untouched);
+  }
+}
+
 TEST(CopyStrided, DifferentShapesSameSize) {
   // src: 4 blocks of 2 bytes; dst: 2 blocks of 4 bytes.
   const std::array<std::int64_t, 4> sdispls{0, 3, 6, 9};
