@@ -13,13 +13,15 @@
 //
 // Five configurations run the same traffic shape:
 //
-//   batched        table-driven MsgPlane + LinkBatcher, window 0 (exact)
+//   batched        change-driven progress scan + LinkBatcher, window 0
+//                  (exact)
 //   batched_w64    same, with a 64 ns coalescing window (approximation)
-//   shadow         the seed path: per-request progress coroutines and
-//                  eagerly scheduled per-delivery events
+//   shadow         the reference policies: every pass advances every
+//                  active request (the same Proc::advance) and every
+//                  delivery is its own event
 //                  (batched_message_plane = delivery_batching = false)
 //   batched_loss12 batched plane, reliable transport, 12% data+control loss
-//   shadow_loss12  seed path under the identical fault plan
+//   shadow_loss12  reference policies under the identical fault plan
 //
 // Allocation accounting: when the build replaces operator new
 // (-DDKF_COUNT_ALLOCS=ON, common/alloc_count.hpp), each mode arms a probe
@@ -34,7 +36,8 @@
 // across the loss modes; virtual end time byte-identical batched vs shadow
 // both fault-free and at 12% loss (the window-0 plane and the pooled
 // payload path are exact reimplementations, not approximations); host-side
-// messages/s speedup of the batched plane over the shadow. Emits
+// messages/s speedup of the batched plane over the shadow — what skipping
+// the idle requests and coalescing same-link deliveries buys. Emits
 // BENCH_msgplane.json (or argv[1]); `--smoke` shrinks the workload for CI.
 #include <algorithm>
 #include <chrono>
@@ -325,7 +328,7 @@ int main(int argc, char** argv) {
   const std::size_t loss_msgs = total_msgs / 20;
 
   bench::banner(std::cout,
-                "Throughput — batched message plane vs seed shadow, " +
+                "Throughput — batched message plane vs full-scan shadow, " +
                     std::to_string(total_msgs) + " eager messages (" +
                     std::to_string(kMsgBytes) + " B, ring, " +
                     std::to_string(kNodes) + " lassen nodes)");
@@ -381,7 +384,7 @@ int main(int argc, char** argv) {
                                " (budget " + fmt2(kMaxSteadyAllocsPerMsg) + ")"
                          : std::string("not measured (DKF_COUNT_ALLOCS off)"))
             << "\nHeadline: " << fmt2(speedup)
-            << "x messages/s over the unbatched shadow (window 0, exact "
+            << "x messages/s over the full-scan shadow (window 0, exact "
                "event order).\n";
 
   std::ofstream json(json_path);
@@ -391,12 +394,13 @@ int main(int argc, char** argv) {
   }
   json << "{\n"
        << "  \"bench\": \"throughput_msgplane\",\n"
-       << "  \"claim\": \"the table-driven message plane with coalesced "
-          "same-link delivery and pool-backed zero-copy payloads reproduces "
-          "the seed's event stream exactly at window 0 — fault-free and "
-          "under 12% loss — while multiplying end-to-end messages/s and "
-          "driving steady-state allocations per message to ~0; the seed "
-          "path is kept as the shadow baseline\",\n"
+       << "  \"claim\": \"change-driven progress (only timed and "
+          "event-marked requests advanced) with coalesced same-link delivery "
+          "and pool-backed zero-copy payloads reproduces the full-scan, "
+          "per-delivery-event reference's event stream exactly at window 0 "
+          "— fault-free and under 12% loss — while multiplying end-to-end "
+          "messages/s and driving steady-state allocations per message to "
+          "~0; both policies run the same Proc::advance\",\n"
        << "  \"total_messages\": " << total_msgs << ",\n"
        << "  \"loss_mode_messages\": " << loss_msgs << ",\n"
        << "  \"message_bytes\": " << kMsgBytes << ",\n"

@@ -35,9 +35,9 @@ struct ExchangeConfig {
   bool intra_node{false};  ///< place both ranks on one node (DirectIPC)
   bool bidirectional{true};  ///< halo exchange (both directions at once)
   mpi::Protocol rendezvous{mpi::Protocol::RGet};
-  /// Route progress through the batched message plane (the production
-  /// path); false replays through the seed per-request coroutines — the
-  /// shadow used for received-bytes equivalence checks.
+  /// Change-driven progress scan (the production path); false advances
+  /// every active request on every pass — the full-scan reference used for
+  /// received-bytes equivalence checks (RuntimeConfig field of that name).
   bool batched_message_plane{true};
 
   // ---- Fault injection (off by default: identical to the seed harness) --
@@ -65,8 +65,8 @@ struct ExchangeResult {
   /// Final virtual time of the whole run (determinism/replay checks).
   TimeNs end_time{0};
   /// FNV-1a over every recv buffer of both ranks at run end. Two configs
-  /// that deliver the same payloads hash identically — the batched plane
-  /// vs. seed-path shadow check keys on this.
+  /// that deliver the same payloads hash identically — the change-driven
+  /// vs. full-scan shadow check keys on this.
   std::uint64_t recv_bytes_hash{0};
 
   double meanLatencyUs() const { return latency_us.mean(); }

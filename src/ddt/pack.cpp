@@ -125,8 +125,13 @@ void checkPacked(const Layout& layout, std::size_t size) {
 
 }  // namespace
 
-std::size_t packCpu(const Layout& layout, std::span<const std::byte> origin,
-                    std::span<std::byte> packed) {
+// packCpu/unpackCpu inline every run loop. At a few ns per 4 B run, their
+// speed moved by up to 2x with code placement alone (4-vCPU KVM guest), so
+// edits elsewhere in the library shifted them. Cache-line alignment keeps
+// the loops' offsets within a line fixed.
+[[gnu::aligned(64)]] std::size_t packCpu(const Layout& layout,
+                                         std::span<const std::byte> origin,
+                                         std::span<std::byte> packed) {
   checkPacked(layout, packed.size());
   checkCovers(layout, origin.size(), "origin");
   const std::byte* const base = origin.data();
@@ -137,8 +142,9 @@ std::size_t packCpu(const Layout& layout, std::span<const std::byte> origin,
   return layout.size();
 }
 
-std::size_t unpackCpu(const Layout& layout, std::span<const std::byte> packed,
-                      std::span<std::byte> origin) {
+[[gnu::aligned(64)]] std::size_t unpackCpu(const Layout& layout,
+                                           std::span<const std::byte> packed,
+                                           std::span<std::byte> origin) {
   checkPacked(layout, packed.size());
   checkCovers(layout, origin.size(), "origin");
   std::byte* const base = origin.data();

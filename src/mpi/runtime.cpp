@@ -513,14 +513,7 @@ void Proc::onEagerAck(RequestPtr sender_req) {
     ++transport_.duplicates_ignored;
     return;
   }
-  if (sender_req->staging_owned) {
-    freeDevice(sender_req->staging);
-    sender_req->staging_owned = false;
-  }
-  sender_req->wire_payload.reset();  // no further retransmissions
-  sender_req->retrans_deadline = 0;
-  releaseSendToken(*sender_req);
-  noteComplete(*sender_req);
+  completeSend(*sender_req);  // drops the wire capture: no more retransmits
 }
 
 void Proc::startEagerDelivery(RequestPtr recv, net::PayloadRef data) {
@@ -536,24 +529,8 @@ void Proc::startEagerDelivery(RequestPtr recv, net::PayloadRef data) {
   // straight out of the shared slab (read-only; the sender may hold a
   // retransmission ref to the same bytes).
   recv->eager_data = std::move(data);
-  Proc* self = this;
-  engine().spawn([](Proc& p, RequestPtr r) -> sim::Task<void> {
-    const gpu::MemSpan packed = gpu::MemSpan::host(r->eager_data.span());
-    const auto plan = p.planFor(core::FusionOp::Unpacking, r->layout,
-                                nullptr, r->tenant);
-    p.engine_->setActiveTenant(r->tenant);
-    r->ticket = co_await p.engine_->submitPlanStep(*plan, 0, r->layout,
-                                                   nullptr, packed,
-                                                   r->user_buf);
-    r->ticket_pending = true;
-    if (p.engine_->done(r->ticket)) {
-      r->ticket_pending = false;
-      r->eager_data.reset();
-      p.noteComplete(*r);
-    } else {
-      p.markTimed(r);  // poll the unpack ticket every pass
-    }
-  }(*self, std::move(recv)));
+  const gpu::MemSpan packed = gpu::MemSpan::host(recv->eager_data.span());
+  submitUnpack(std::move(recv), packed);
 }
 
 void Proc::onRts(RequestPtr sender_req) {
@@ -746,14 +723,19 @@ void Proc::onFin(RequestPtr sender_req) {
     ++transport_.duplicates_ignored;
     return;
   }
-  if (sender_req->staging_owned) {
-    freeDevice(sender_req->staging);
-    sender_req->staging_owned = false;
+  completeSend(*sender_req);
+}
+
+void Proc::completeSend(Request& req) {
+  if (req.staging_owned) {
+    freeDevice(req.staging);
+    req.staging_owned = false;
   }
-  sender_req->paired.reset();
-  sender_req->retrans_deadline = 0;
-  releaseSendToken(*sender_req);
-  noteComplete(*sender_req);
+  req.paired.reset();
+  req.wire_payload.reset();
+  req.retrans_deadline = 0;
+  releaseSendToken(req);
+  noteComplete(req);
 }
 
 void Proc::finishRecvData(RequestPtr recv) {
@@ -761,23 +743,26 @@ void Proc::finishRecvData(RequestPtr recv) {
     noteComplete(*recv);
     return;
   }
-  Proc* self = this;
-  engine().spawn([](Proc& p, RequestPtr r) -> sim::Task<void> {
+  const gpu::MemSpan packed = recv->staging;
+  submitUnpack(std::move(recv), packed);
+}
+
+void Proc::submitUnpack(RequestPtr recv, gpu::MemSpan packed) {
+  engine().spawn([](Proc& p, RequestPtr r,
+                    gpu::MemSpan src) -> sim::Task<void> {
     const auto plan = p.planFor(core::FusionOp::Unpacking, r->layout,
                                 nullptr, r->tenant);
     p.engine_->setActiveTenant(r->tenant);
     r->ticket = co_await p.engine_->submitPlanStep(*plan, 0, r->layout,
-                                                   nullptr, r->staging,
-                                                   r->user_buf);
+                                                   nullptr, src, r->user_buf);
     r->ticket_pending = true;
     if (p.engine_->done(r->ticket)) {
       r->ticket_pending = false;
-      p.releaseRecvStaging(*r);
-      p.noteComplete(*r);
+      p.finishTicketedRecv(r);
     } else {
       p.markTimed(r);  // poll the unpack ticket every pass
     }
-  }(*self, std::move(recv)));
+  }(*this, std::move(recv), packed));
 }
 
 void Proc::releaseRecvStaging(Request& r) {
@@ -826,80 +811,61 @@ void Proc::finishTicketedRecv(const RequestPtr& req) {
   noteComplete(*req);
 }
 
-sim::Task<void> Proc::progressRequest(RequestPtr req) {
-  if (req->complete) co_return;
+bool Proc::advance(const RequestPtr& req) {
+  if (req->complete) return true;
 
   if (req->ticket_pending && engine_->done(req->ticket)) {
     req->ticket_pending = false;
-    if (req->kind == Request::Kind::Send) {
-      req->pack_done = true;
-    } else {
+    if (req->kind == Request::Kind::Recv) {
       finishTicketedRecv(req);
-      co_return;
+      return true;
     }
+    req->pack_done = true;  // on to the protocol switch below
   }
 
-  if (req->kind == Request::Kind::Send && req->pack_done) {
-    switch (req->protocol) {
-      case Protocol::Eager:
-        if (!req->data_in_flight) {
-          issueEagerData(req);
-        } else if (!req->complete && retransDue(*req)) {
-          sendEagerOnWire(req);  // un-ACKed: back on the wire
-        }
-        break;
-      case Protocol::RGet:
-        if (!req->rts_sent) {
-          issueRts(req);
-        } else if (!req->complete && retransDue(*req)) {
-          sendRtsOnWire(req);  // RTS (or its FIN) was lost
-        }
-        break;
-      case Protocol::RPut:
-        if (!req->cts_received) {
-          if (req->rts_sent && retransDue(*req)) sendRtsOnWire(req);
-        } else if (!req->data_in_flight) {
-          req->data_in_flight = true;
-          issueRputData(req);
-          armRetrans(req);  // data phase gets its own (fresh) backoff
-        } else if (!req->data_delivered && retransDue(*req)) {
-          issueRputData(req);  // the RDMA write was dropped
-        }
-        if (req->data_delivered && !req->complete) {
-          if (req->staging_owned) {
-            freeDevice(req->staging);
-            req->staging_owned = false;
-          }
-          req->paired.reset();
-          req->retrans_deadline = 0;
-          releaseSendToken(*req);
-          noteComplete(*req);
-        }
-        break;
-      case Protocol::DirectIpc:
-        // Receiver-driven; FIN completes us. A lost RTS or FIN surfaces as
-        // a timeout here, and the receiver answers duplicates idempotently.
-        if (!req->complete && retransDue(*req)) sendRtsOnWire(req);
-        break;
-    }
-  } else if (req->kind == Request::Kind::Recv) {
-    if (req->direct_retry) {
-      req->direct_retry = false;
-      co_await tryDirect(req);
-    } else if (req->rget_sender && !req->data_delivered &&
-               retransDue(*req)) {
+  if (req->kind == Request::Kind::Recv) {
+    if (req->direct_retry) return false;  // the enqueue suspends
+    if (req->rget_sender && !req->data_delivered && retransDue(*req)) {
       issueRgetRead(req, req->rget_sender);  // the RDMA read was dropped
     }
+    return true;
   }
-}
+  if (!req->pack_done) return true;  // the DDT engine owns it
 
-sim::Task<void> Proc::progressSlow(RequestPtr req) {
-  // The one genuinely suspending progress action: the DirectIPC enqueue
-  // submits through the DDT engine. Mirrors the recv arm of the seed path.
-  if (req->direct_retry) {
-    req->direct_retry = false;
-    co_await tryDirect(req);
+  switch (req->protocol) {
+    case Protocol::Eager:
+      if (!req->data_in_flight) {
+        issueEagerData(req);
+      } else if (!req->complete && retransDue(*req)) {
+        sendEagerOnWire(req);  // un-ACKed: back on the wire
+      }
+      break;
+    case Protocol::RGet:
+      if (!req->rts_sent) {
+        issueRts(req);
+      } else if (!req->complete && retransDue(*req)) {
+        sendRtsOnWire(req);  // RTS (or its FIN) was lost
+      }
+      break;
+    case Protocol::RPut:
+      if (!req->cts_received) {
+        if (req->rts_sent && retransDue(*req)) sendRtsOnWire(req);
+      } else if (!req->data_in_flight) {
+        req->data_in_flight = true;
+        issueRputData(req);
+        armRetrans(req);  // data phase gets its own (fresh) backoff
+      } else if (!req->data_delivered && retransDue(*req)) {
+        issueRputData(req);  // the RDMA write was dropped
+      }
+      if (req->data_delivered && !req->complete) completeSend(*req);
+      break;
+    case Protocol::DirectIpc:
+      // Receiver-driven; FIN completes us. A lost RTS or FIN surfaces as
+      // a timeout here, and the receiver answers duplicates idempotently.
+      if (!req->complete && retransDue(*req)) sendRtsOnWire(req);
+      break;
   }
+  return true;
 }
 
 void Proc::registerActive(const RequestPtr& req) {
@@ -915,64 +881,62 @@ void Proc::registerActive(const RequestPtr& req) {
 }
 
 void Proc::markDirty(const RequestPtr& req) {
-  if (!rt_->config().batched_message_plane) return;  // shadow never reads it
   if (req->complete || req->in_dirty) return;
   req->in_dirty = true;
   dirty_.push_back(req);
 }
 
 void Proc::markTimed(const RequestPtr& req) {
-  if (!rt_->config().batched_message_plane) return;  // shadow never reads it
   if (req->complete || req->in_timed) return;
   req->in_timed = true;
   timed_.push_back(req);
 }
 
-sim::Task<void> Proc::progressPass() {
+sim::Task<void> Proc::progressPass(bool full_scan) {
   // Capture this pass's candidates up front; marks arriving mid-pass (only
   // possible across a DirectIPC suspension) land in a fresh dirty_ and are
   // picked up by the next pass.
   pass_scratch_.assign(timed_.begin(), timed_.end());
-  bool slow = false;
-  for (const RequestPtr& r : pass_scratch_) {
-    slow |= !r->complete && r->direct_retry;
-  }
   for (RequestPtr& r : dirty_) {
     r->in_dirty = false;
-    slow |= !r->complete && r->direct_retry;
     if (!r->in_timed) pass_scratch_.push_back(std::move(r));
   }
   dirty_.clear();
+  full_scan = full_scan ||
+              std::any_of(pass_scratch_.begin(), pass_scratch_.end(),
+                          [](const RequestPtr& r) {
+                            return !r->complete && r->direct_retry;
+                          });
 
-  if (slow) {
-    // A DirectIPC enqueue suspends, and flag flips arriving across the
-    // suspension must stay visible to requests advanced later in the same
-    // pass — exactly the seed's snapshot semantics, so scan like the seed:
-    // every active request, activation order, index bound at entry
-    // (activations during the suspension wait a pass). Completed-but-
+  if (full_scan) {
+    pass_scratch_.clear();
+    // Every active request in activation order, from a snapshot owned by
+    // this pass: concurrent waiters run their own passes (and compact
+    // active_) while this one is suspended in a DirectIPC enqueue, and
+    // requests activated meanwhile wait for the next pass. Completed-but-
     // unswept entries return from advance() immediately and emit nothing.
-    const std::size_t bound = active_.size();
-    for (std::size_t i = 0; i < bound; ++i) {
-      if (!MsgPlane::advance(*this, active_[i])) {
-        RequestPtr req = active_[i];  // pin across the suspension
-        co_await progressSlow(req);
+    const std::vector<RequestPtr> snapshot(active_.begin(), active_.end());
+    for (const RequestPtr& req : snapshot) {
+      if (!advance(req)) {
+        req->direct_retry = false;
+        co_await tryDirect(req);
       }
     }
   } else {
-    // Pure table pass, fully synchronous: no suspension can interleave an
-    // event, so the candidate set is complete and classification is
-    // stable. Activation order keeps the emitted action stream identical
-    // to the seed's full scan (every skipped request is a proven no-op).
+    // Fully synchronous: no suspension can interleave an event, so the
+    // candidate set is complete. Activation order keeps the emitted action
+    // stream identical to the full scan (every skipped request is a proven
+    // no-op).
     std::sort(pass_scratch_.begin(), pass_scratch_.end(),
               [](const RequestPtr& a, const RequestPtr& b) {
                 return a->progress_order < b->progress_order;
               });
     for (const RequestPtr& req : pass_scratch_) {
-      const bool fast = MsgPlane::advance(*this, req);
-      DKF_CHECK(fast);  // direct_retry would have forced the slow scan
+      const bool advanced = advance(req);
+      DKF_CHECK(advanced);  // direct_retry would have forced the full scan
     }
+    pass_scratch_.clear();
   }
-  pass_scratch_.clear();
   std::erase_if(timed_, [](const RequestPtr& r) {
     const bool keep =
         !r->complete && (r->ticket_pending || r->retrans_deadline != 0);
@@ -985,24 +949,14 @@ sim::Task<void> Proc::progressPass() {
 
 sim::Task<void> Proc::progressOnce() {
   co_await engine_->progress();
-  if (rt_->config().batched_message_plane) {
-    // Hot path: change-driven. Steady-state requests complete inside
-    // fabric/engine handlers; a pass only runs while some request holds a
-    // live ticket or armed deadline (timed_) or an event enabled an action
-    // since the last poll (dirty_). An idle poll costs O(1).
-    if (!timed_.empty() || !dirty_.empty()) co_await progressPass();
-    co_return;
+  // Change-driven by default: steady-state requests complete inside
+  // fabric/engine handlers, so a pass only runs while some request holds a
+  // live ticket or armed deadline (timed_) or an event enabled an action
+  // since the last poll (dirty_). An idle poll costs O(1).
+  const bool full_scan = !rt_->config().batched_message_plane;
+  if (full_scan || !timed_.empty() || !dirty_.empty()) {
+    co_await progressPass(full_scan);
   }
-  // Seed shadow: one coroutine frame per request per poll, iterating a
-  // snapshot (handlers may append to active_) reused across polls so
-  // steady-state polling does not allocate.
-  progress_scratch_.assign(active_.begin(), active_.end());
-  for (RequestPtr& req : progress_scratch_) {
-    co_await progressRequest(req);
-  }
-  progress_scratch_.clear();
-  std::erase_if(active_,
-                [](const RequestPtr& r) { return r->complete; });
 }
 
 sim::Task<void> Proc::wait(RequestPtr req) {

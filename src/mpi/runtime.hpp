@@ -29,7 +29,6 @@
 #include "net/fabric.hpp"
 #include "net/payload.hpp"
 #include "mpi/match_table.hpp"
-#include "mpi/msg_plane.hpp"
 #include "mpi/request.hpp"
 #include "mpi/request_arena.hpp"
 #include "schemes/factory.hpp"
@@ -96,11 +95,12 @@ struct RuntimeConfig {
   ddt::LayoutCacheLimits layout_cache{};
   /// Per-rank compiled-plan cache budget (entries/bytes; 0 = unbounded).
   core::PlanCacheLimits plan_cache{};
-  /// Advance requests through the table-driven state machines
-  /// (msg_plane.hpp) instead of one coroutine frame per request per poll.
-  /// Off = the seed coroutine path, kept as the shadow for the determinism
-  /// fuzz test and the throughput bench baseline. Event-stream-identical
-  /// either way.
+  /// Progress scan policy. On = change-driven: a pass advances only the
+  /// requests holding a live ticket or deadline plus those an event marked
+  /// since the last pass. Off = every pass advances every active request —
+  /// the full-scan reference for the determinism fuzz test and the
+  /// throughput bench baseline. Both run the same Proc::advance and are
+  /// event-stream-identical on fault-free and lossy eager traffic.
   bool batched_message_plane{true};
   /// Route fabric deliveries through per-link LinkBatchers (applied to the
   /// cluster fabric at Runtime construction; net/link_batcher.hpp).
@@ -208,8 +208,8 @@ class Proc {
   /// `participants` ranks must arrive (0 = the whole world).
   sim::Task<void> barrier(std::size_t participants = 0);
 
-  /// Active (incomplete) requests owned by this rank. (The batched plane
-  /// sweeps handler-completed requests lazily, so count, don't size().)
+  /// Active (incomplete) requests owned by this rank. (Requests completed
+  /// inside fabric/engine handlers are swept lazily, so count, don't size().)
   std::size_t inFlight() const {
     return static_cast<std::size_t>(
         std::count_if(active_.begin(), active_.end(),
@@ -249,7 +249,6 @@ class Proc {
 
  private:
   friend class Runtime;
-  friend struct MsgPlane;  // the table-driven hot path advances requests
 
   // Inbound protocol events (called at fabric delivery time).
   void onEager(int src_rank, int msg_tag, std::uint64_t seq,
@@ -274,13 +273,14 @@ class Proc {
 
   /// One pass of the progress engine.
   sim::Task<void> progressOnce();
-  /// One batched-plane pass over the requests that can actually act: the
-  /// timed set (DDT tickets, armed retransmissions) plus the requests an
-  /// event marked dirty since the last pass, advanced in activation order.
-  /// Falls back to the seed-order full scan whenever a DirectIPC retry is
-  /// pending, because that path suspends and flag flips arriving across
-  /// the suspension must stay visible to later requests in the same pass.
-  sim::Task<void> progressPass();
+  /// Advance requests in activation order. Change-driven: only the timed
+  /// set (DDT tickets, armed retransmissions) plus the requests an event
+  /// marked dirty since the last pass. Full scan: every active request,
+  /// iterated from a snapshot local to the pass; forced whenever a
+  /// DirectIPC retry is pending, because that enqueue suspends and flag
+  /// flips arriving across the suspension must stay visible to requests
+  /// advanced later in the same pass.
+  sim::Task<void> progressPass(bool full_scan);
   /// Register a freshly activated request with the progress plane
   /// (activation order, active list, amortized sweep of completed entries).
   void registerActive(const RequestPtr& req);
@@ -288,15 +288,20 @@ class Proc {
   void markDirty(const RequestPtr& req);
   /// `req` needs polling every pass while its ticket or deadline is live.
   void markTimed(const RequestPtr& req);
-  /// Advance a single request's state machine — the seed coroutine path,
-  /// kept intact as the shadow for batched_message_plane = false.
-  sim::Task<void> progressRequest(RequestPtr req);
-  /// Coroutine tail for the table-driven path: the one genuinely
-  /// suspending action (the DirectIPC enqueue).
-  sim::Task<void> progressSlow(RequestPtr req);
+  /// Advance one request's protocol state machine. Never suspends; returns
+  /// false only when a DirectIPC enqueue is due — the caller clears
+  /// direct_retry and awaits tryDirect.
+  bool advance(const RequestPtr& req);
   /// A receive's DDT-engine ticket (unpack / direct copy) finished:
   /// release staging, FIN a DirectIPC sender, complete the request.
   void finishTicketedRecv(const RequestPtr& req);
+  /// Submit the unpack of `packed` into the receive's user buffer; the
+  /// request completes at once if the engine finishes it synchronously,
+  /// otherwise it joins the timed set.
+  void submitUnpack(RequestPtr recv, gpu::MemSpan packed);
+  /// A send's payload has landed (FIN, eager ACK, RPut delivery): release
+  /// staging, wire capture and admission token, and complete the request.
+  void completeSend(Request& req);
 
   // Never suspend (wire pushes + local bookkeeping only): plain functions
   // so the hot path pays no coroutine frame for them.
@@ -369,12 +374,11 @@ class Proc {
   core::PlanCache plan_cache_;
 
   std::vector<RequestPtr> active_;          // all incomplete requests
-  std::vector<RequestPtr> progress_scratch_;  // reused per-poll snapshot
 
-  // Change-driven progress state (batched plane only; see progressPass).
+  // Change-driven progress state (see progressPass).
   std::vector<RequestPtr> timed_;        // ticket/deadline holders, polled
   std::vector<RequestPtr> dirty_;        // event-marked since the last pass
-  std::vector<RequestPtr> pass_scratch_; // reused per-pass work list
+  std::vector<RequestPtr> pass_scratch_; // candidates; never held across a suspension
   std::uint64_t next_progress_order_{0};
   std::size_t sweep_watermark_{64};      // amortized active_ sweep trigger
   MatchTable posted_recvs_;                 // unmatched posted receives

@@ -68,8 +68,10 @@ class DdtEngine {
 
   /// Direct strided copy between two non-contiguous device buffers over
   /// NVLink/PCIe (the DirectIPC operation of [24]). Engines without the
-  /// capability return an invalid ticket; the runtime then falls back to
-  /// pack + transfer + unpack.
+  /// capability return an invalid ticket (the runtime never asks them); a
+  /// capable engine whose request list is full does too, and the runtime
+  /// re-arms the receive and retries the enqueue on its next progress pass
+  /// (Proc::tryDirect).
   virtual sim::Task<Ticket> submitDirect(ddt::LayoutPtr src_layout,
                                          gpu::MemSpan src,
                                          ddt::LayoutPtr dst_layout,
@@ -81,8 +83,8 @@ class DdtEngine {
   /// plan's declared ones — compiled plans are count-independent. The
   /// default dispatches to the submit* entry points; engines with their own
   /// request machinery (FusionEngine) override for a template-bound path.
-  /// DirectIPC steps keep submitDirect's contract: an engine without the
-  /// capability returns an invalid ticket and the caller falls back.
+  /// DirectIPC steps keep submitDirect's contract: an invalid ticket means
+  /// "not now", and the caller retries the enqueue on a later pass.
   virtual sim::Task<Ticket> submitPlanStep(const core::CompiledPlan& plan,
                                            std::size_t step,
                                            ddt::LayoutPtr live_layout,

@@ -64,8 +64,8 @@ sim::Task<Ticket> FusionEngine::submitDirect(ddt::LayoutPtr src_layout,
   req.origin = src;
   req.target = dst;
   co_return co_await enqueueOrFallback(std::move(req));
-  // Note: on a full list the invalid ticket propagates; the runtime falls
-  // back to pack + transfer + unpack for DirectIPC, matching the paper.
+  // Note: on a full list the invalid ticket propagates; the runtime retries
+  // the enqueue on its next progress pass (Proc::tryDirect).
 }
 
 sim::Task<Ticket> FusionEngine::submitPlanStep(const core::CompiledPlan& plan,
@@ -79,8 +79,8 @@ sim::Task<Ticket> FusionEngine::submitPlanStep(const core::CompiledPlan& plan,
       s.bind(live_layout, live_target, origin, target));
   if (t.valid()) co_return t;
   if (s.op == core::FusionOp::DirectIPC) {
-    co_return t;  // invalid ticket propagates; the runtime re-plans as
-                  // pack + transfer + unpack (same as submitDirect)
+    co_return t;  // invalid ticket propagates; the runtime retries the
+                  // enqueue on its next pass (same as submitDirect)
   }
   // Request list full: run this one synchronously (§IV-A2 ①), exactly as
   // the per-message entry points do.

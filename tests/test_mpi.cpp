@@ -205,6 +205,72 @@ TEST(DirectIpc, IntraNodeStridedExchangeSkipsPacking) {
   }
 }
 
+// A two-entry request list refuses about half of the DirectIPC enqueues, so
+// receives retry while 64 waiters poll at once: one waiter's pass suspends
+// in an enqueue while the others run whole passes (and compact the active
+// list) underneath it. Under both scan policies every waiter must finish
+// with every segment delivered. Virtual end times may differ between the
+// two: retries interleave differently across concurrent passes.
+TEST(DirectIpc, RetriedEnqueueUnderConcurrentWaiters) {
+  constexpr int kMsgs = 64;
+  auto type = Datatype::vector(128, 2, 8, Datatype::float64());
+  const auto extent = static_cast<std::size_t>(type->extent());
+  const auto layout = ddt::flatten(type, 1);
+
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "change-driven scan" : "full scan");
+    auto machine = hw::lassen();
+    machine.node.gpus_per_node = 2;
+    RuntimeConfig cfg;
+    cfg.scheme = schemes::Scheme::ProposedTuned;
+    cfg.tuned_list_capacity = 2;
+    cfg.batched_message_plane = batched;
+    World w(machine, 1, cfg);
+    w.eng.setWatchdog(sec(2));
+
+    auto& p0 = w.rt.proc(0);
+    auto& p1 = w.rt.proc(1);
+    auto sbuf = p0.allocDevice(kMsgs * extent);
+    auto rbuf = p1.allocDevice(kMsgs * extent);
+    fillPattern(sbuf, 14);
+    std::memset(rbuf.bytes.data(), 0, kMsgs * extent);
+
+    int waiters_done = 0;
+    w.eng.spawn([](Proc& p, gpu::MemSpan b, ddt::DatatypePtr t,
+                   std::size_t ext) -> sim::Task<void> {
+      std::vector<RequestPtr> reqs;
+      for (int i = 0; i < kMsgs; ++i) {
+        reqs.push_back(co_await p.isend(b.subspan(i * ext, ext), t, 1, 1, i));
+      }
+      co_await p.waitall(std::move(reqs));
+    }(p0, sbuf, type, extent));
+    w.eng.spawn([](Proc& p, gpu::MemSpan b, ddt::DatatypePtr t,
+                   std::size_t ext, int& done) -> sim::Task<void> {
+      for (int i = 0; i < kMsgs; ++i) {
+        auto req = co_await p.irecv(b.subspan(i * ext, ext), t, 1, 0, i);
+        p.engine().spawn([](Proc& q, RequestPtr r,
+                            int& n) -> sim::Task<void> {
+          co_await q.wait(std::move(r));
+          ++n;
+        }(p, std::move(req), done));
+      }
+    }(p1, rbuf, type, extent, waiters_done));
+    w.eng.run();
+
+    EXPECT_EQ(waiters_done, kMsgs);
+    EXPECT_EQ(w.eng.unfinishedTasks(), 0u);
+    for (int i = 0; i < kMsgs; ++i) {
+      const std::size_t base = static_cast<std::size_t>(i) * extent;
+      for (const auto& seg : layout.materialize()) {
+        ASSERT_EQ(std::memcmp(rbuf.bytes.data() + base + seg.offset,
+                              sbuf.bytes.data() + base + seg.offset, seg.len),
+                  0)
+            << "message " << i;
+      }
+    }
+  }
+}
+
 // ---- Unexpected messages and tag matching ----
 
 TEST(Matching, UnexpectedEagerIsBufferedUntilRecvPosted) {

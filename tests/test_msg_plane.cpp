@@ -1,8 +1,9 @@
 // Batched message plane (MODEL.md §13): calendar-tier order equivalence,
 // the DKF_AUDIT invariant checker, MatchTable / ArrivalQueue equivalence
 // with the seed's linear scans, LinkBatcher coalescing semantics, and
-// end-to-end determinism of the batched plane against the seed shadow —
-// identical completion order and bytes, fault-free and under 12% loss.
+// end-to-end determinism of the batched plane against the shadow (full
+// progress scan, one event per delivery) — identical completion order and
+// bytes, fault-free and under 12% loss.
 //
 // The determinism fuzz runs under bench::parallelFor; gtest assertions are
 // not thread-safe, so workers record failure strings and the main thread
@@ -276,7 +277,7 @@ TEST(MsgPlaneBatcher, ReentrantEnqueueFromDeliveryIsDeferredNotLost) {
   EXPECT_EQ(batcher.pending(), 0u);
 }
 
-// ---- End-to-end determinism: batched plane vs seed shadow ---------------
+// ---- End-to-end determinism: batched plane vs full-scan shadow ----------
 
 struct WorldTrace {
   std::vector<std::uint64_t> completion_order;  // (rank << 32) | tag
